@@ -19,7 +19,8 @@ gated (a regression exits non-zero, failing the CI job):
   stream over HTTP; p50/p99 and the /stats counters are recorded, and the
   deterministic part of every response is compared against a cold,
   store-less service computing from scratch.  Gate: zero byte-identity
-  diffs.  (The HTTP p99 itself is recorded but not hard-gated -- loopback
+  diffs, and zero refinement passes by any engine of the serving process
+  (every graph is in the warmed store, so no request may refine).  (The HTTP p99 itself is recorded but not hard-gated -- loopback
   latency is too noisy across CI machines.)
 * **Compaction curve.**  Debris is manufactured next to the live records
   (stale temp files, quarantined and corrupt objects) and
@@ -193,6 +194,7 @@ def run_service_zipf(store_dir: str) -> dict:
         "byte_identity_diffs": diffs,
     }
     assert diffs == 0, "hot serving diverged from cold computation"
+    assert result["refinement_passes"] == 0, "warm zipf serving refined a graph"
     assert store_section["hits"] > 0, "warmed service never read the store"
     return result
 

@@ -42,6 +42,7 @@ import tempfile
 import time
 
 from repro.core import Task, reset_search_statistics, search_statistics
+from repro.kernel import refinement_pass_count
 from repro.runner import (
     ExperimentRunner,
     GraphSpec,
@@ -67,6 +68,9 @@ GATE_SWEEP = SweepSpec.make(
 
 
 def _measure(runner: ExperimentRunner):
+    # refinement passes of every engine in the process, not only of the
+    # engines the cache holds: a refinement of a throwaway graph counts too
+    passes_before = refinement_pass_count()
     cache_before = refinement_cache.stats()
     search_before = search_statistics()
     started = time.perf_counter()
@@ -76,8 +80,7 @@ def _measure(runner: ExperimentRunner):
     search_after = search_statistics()
     return report, {
         "wall_time_s": round(elapsed, 6),
-        "refinement_passes": cache_after["refinement_passes"]
-        - cache_before["refinement_passes"],
+        "refinement_passes": refinement_pass_count() - passes_before,
         "search_states": search_after["states"] - search_before["states"],
         "search_cells": search_after["cells"] - search_before["cells"],
         "cache_hits": cache_after["hits"] - cache_before["hits"],

@@ -47,6 +47,7 @@ from .refine import (
     make_refinement,
     refinement_delta,
     refinement_from_stored,
+    refinement_pass_count,
 )
 
 __all__ = [
@@ -60,6 +61,7 @@ __all__ = [
     "make_refinement",
     "refinement_from_stored",
     "refinement_delta",
+    "refinement_pass_count",
     "BlockCutTree",
     "GraphKernel",
     "active_backend",

@@ -41,6 +41,7 @@ O(1) / O(output) after a one-off O(n) build per queried depth.
 
 from __future__ import annotations
 
+import threading
 from array import array
 from typing import Dict, List, Optional, Tuple
 
@@ -51,7 +52,30 @@ __all__ = [
     "make_refinement",
     "refinement_from_stored",
     "refinement_delta",
+    "refinement_pass_count",
 ]
+
+_pass_lock = threading.Lock()
+_pass_total = 0
+
+
+def count_refinement_passes(passes: int = 1) -> None:
+    """Add ``passes`` to the process-wide pass counter (engines call this)."""
+    global _pass_total
+    with _pass_lock:
+        _pass_total += passes
+
+
+def refinement_pass_count() -> int:
+    """Refinement passes performed by every engine of this process, ever.
+
+    Monotone.  Counts the cold passes of both backends' engines -- whoever
+    created them: the runner cache, :meth:`PortLabeledGraph.fingerprint`, a
+    test -- and the depths a delta replay materialises.  An engine restored
+    from stored tables adds nothing.  "A warm request refines nothing" is
+    checked as "this counter did not move".
+    """
+    return _pass_total
 
 
 class CSRPartitionRefinement:
@@ -495,6 +519,7 @@ class CSRPartitionRefinement:
                 break
             prev = cur
 
+        count_refinement_passes(engine._passes)
         last = engine._raw[-1]
         members: Dict[int, List[int]] = {}
         for v in range(n):
@@ -552,6 +577,7 @@ class CSRPartitionRefinement:
         class_size = self._class_size
         changed = self._changed
         self._passes += 1
+        count_refinement_passes()
 
         new_colors = array(INT_TYPECODE, previous)
         changed_next: List[int] = []

@@ -45,6 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .backend import numpy_or_none
 from .csr import INT_TYPECODE, CSRGraph
+from .refine import count_refinement_passes
 
 __all__ = ["NumpyPartitionRefinement"]
 
@@ -234,6 +235,7 @@ class NumpyPartitionRefinement:
         previous = self._raw[-1]
         previous_count = self._num_classes[-1]
         self._passes += 1
+        count_refinement_passes()
 
         sizes = numpy.bincount(previous, minlength=previous_count)
         active = sizes[previous] > 1

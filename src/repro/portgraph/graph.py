@@ -22,16 +22,6 @@ __all__ = ["PortLabeledGraph"]
 
 Endpoint = Tuple[int, int]
 
-#: Cap on the refinement depth (passes *and* per-class label-chain rounds)
-#: folded into :meth:`PortLabeledGraph.fingerprint`.  The digest normally
-#: stops one round past the refinement fixpoint; on adversarially
-#: slow-stabilising graphs (long quasi-symmetric cycles, where the fixpoint
-#: takes ~n/2 passes) the cap bounds both the time and the per-depth colour
-#: arrays the memoised engine retains, at the cost of the fingerprint seeing
-#: "only" 64 rounds -- still far beyond the old fixed 3.
-_FINGERPRINT_LABEL_ROUNDS = 64
-
-
 class PortLabeledGraph:
     """An immutable, simple, port-labeled graph.
 
@@ -304,13 +294,15 @@ class PortLabeledGraph:
         cannot tell apart share a fingerprint; consumers that need exact
         identity additionally compare adjacency, as the runner cache does.)
 
-        Refinement runs until the class-count sequence stabilises, capped at
-        :data:`_FINGERPRINT_LABEL_ROUNDS` rounds (the cap bounds both the
-        passes of the shared incremental engine and the per-class label
-        chain, so fingerprinting stays fast even on graphs whose fixpoint
-        takes ~n/2 passes); the digest folds in the materialised class-count
-        sequence plus the sorted multiset of ``(class label, class size)``
-        pairs one round *past* stabilisation (or at the cap).
+        Refinement runs to the fixpoint ``stable``; the digest folds in the
+        class-count sequence of depths ``0..stable+1`` plus the sorted
+        multiset of ``(class label, class size)`` pairs at depth
+        ``stable+1``, one round *past* stabilisation.  It is a pure function
+        of the graph: which engine state it is computed from (fresh,
+        partly refined, or restored from the store) never changes it.
+        Fingerprinting a graph whose fixpoint takes ~n/2 passes (long
+        quasi-symmetric cycles) costs that many passes -- the same ones any
+        ψ_Z query or store write of the graph pays anyway.
         An earlier scheme truncated at a fixed 3 refinement rounds, which
         aliased structurally different graphs whose refinements only diverge
         at depth >= 4 -- see ``tests/test_portgraph_fingerprint.py`` for an
@@ -329,20 +321,15 @@ class PortLabeledGraph:
             )
 
         engine = self.refinement_engine()
-        # Refine to the fixpoint, but never past the round cap: the cap keeps
-        # fingerprinting O(cap · work-per-pass) in time and O(cap · n) in
-        # retained colour arrays even on graphs whose fixpoint takes ~n/2
-        # passes.  One round past stabilisation is folded in: the partition no
-        # longer splits there, but the label chain still deepens by one
+        # One round past stabilisation is folded in: the partition no longer
+        # splits there, but the label chain still deepens by one
         # neighbourhood radius, which is what separates graphs whose
         # *partitions* agree while their signature structures differ (the old
-        # 3-round aliasing families).
-        engine.ensure_depth(_FINGERPRINT_LABEL_ROUNDS)
-        stable = engine.stable_depth
-        final_depth = min(
-            engine.computed_depth,
-            _FINGERPRINT_LABEL_ROUNDS if stable is None else stable + 1,
-        )
+        # 3-round aliasing families).  Detecting the fixpoint takes the pass
+        # that does not split, so depth stable+1 is materialised -- unless
+        # depth 0 is already discrete, where no pass ever runs.
+        stable = engine.ensure_stable()
+        final_depth = min(engine.computed_depth, stable + 1)
         csr = self.csr()
         # Invariant label chain, one value per class per depth: the label of a
         # class is the digest of its (port-ordered) signature over the labels

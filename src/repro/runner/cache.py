@@ -26,11 +26,18 @@ in :mod:`repro.core.feasibility`, :mod:`repro.core.election_index` and the
 experiment runner, so one memoised refinement per graph serves ψ_S / ψ_PE /
 ψ_PPE / ψ_CPPE queries, feasibility and twin queries alike.
 
-Counters (hits, misses, evictions, and the total number of refinement
-*passes* performed by cached refinements) are exposed via
-:meth:`RefinementCache.stats`; a repeated sweep over the same spec must not
-increase ``refinement_passes``, which is how the tests and the ``bench``
-CLI certify cache reuse.
+Counters (hits, misses, evictions, and the number of refinement *passes*
+performed in this process since the last :meth:`RefinementCache.clear`)
+are exposed via :meth:`RefinementCache.stats`; a repeated sweep over the
+same spec must not increase ``refinement_passes``, which is how the tests
+and the ``bench`` CLI certify cache reuse.  The pass count is the kernel's
+process-wide counter (:func:`repro.kernel.refinement_pass_count`), so it
+also sees refinements of graphs the cache never held -- a warm request
+that refined a throwaway copy of a cached graph would show up.
+
+A second index maps :class:`~repro.runner.spec.GraphSpec` values to
+entries (:meth:`RefinementCache.spec_entry`), so a repeat spec query finds
+its entry without building the graph or hashing its adjacency.
 
 Since the store subsystem (PR 3) the cache can additionally be backed by a
 persistent :class:`~repro.store.store.ArtifactStore`
@@ -50,7 +57,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
-from ..kernel import GraphKernel
+from ..kernel import GraphKernel, refinement_pass_count
 from ..portgraph.graph import PortLabeledGraph
 from ..store import ArtifactRecord, ArtifactStore
 from ..views.refinement import ViewRefinement
@@ -65,6 +72,15 @@ __all__ = [
 
 #: Default number of distinct bucket keys kept by the process-wide cache.
 DEFAULT_MAXSIZE = 128
+
+
+def _hashable(spec) -> bool:
+    """Whether ``spec`` can key the spec index (dict-valued params cannot)."""
+    try:
+        hash(spec)
+    except TypeError:
+        return False
+    return True
 
 
 class CacheEntry:
@@ -83,7 +99,7 @@ class CacheEntry:
     exactly as it skips refinement passes.
     """
 
-    __slots__ = ("graph", "refinement", "kernel", "memo", "lineage")
+    __slots__ = ("graph", "refinement", "kernel", "memo", "lineage", "specs")
 
     def __init__(self, graph: PortLabeledGraph, refinement: ViewRefinement) -> None:
         self.graph = graph
@@ -94,6 +110,8 @@ class CacheEntry:
         #: (see :meth:`RefinementCache.delta_entry`), else ``None``.  The
         #: write-through path records it on the persisted record.
         self.lineage: Optional[Tuple[str, str]] = None
+        #: the :class:`~repro.runner.spec.GraphSpec` keys indexing this entry
+        self.specs: List[object] = []
 
     def estimated_bytes(self) -> int:
         """Rough retained footprint of this entry (bytes).
@@ -139,8 +157,10 @@ class RefinementCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._evicted_passes = 0
+        self._passes_base = refinement_pass_count()
         self._evicted_bytes = 0
+        # GraphSpec -> live entry of the graph it builds
+        self._specs: Dict[object, CacheEntry] = {}
         self._store: Optional[ArtifactStore] = None
         self._store_hits = 0
         self._store_misses = 0
@@ -189,8 +209,14 @@ class RefinementCache:
         with self._lock:
             return self._num_entries
 
-    def entry(self, graph: PortLabeledGraph) -> CacheEntry:
+    def entry(self, graph: PortLabeledGraph, *, spec=None) -> CacheEntry:
         """The cache entry of ``graph`` (created on first request).
+
+        ``spec``, the :class:`~repro.runner.spec.GraphSpec` that built
+        ``graph``, indexes the entry for :meth:`spec_entry` -- unless the
+        entry holds an equal graph under another name, whose name-bearing
+        outputs (map advice, delta names) would then leak into the spec's
+        answers.
 
         With a store attached, an in-memory miss first *reads through* the
         store: a record of an exactly equal graph warm-starts the entry
@@ -201,62 +227,106 @@ class RefinementCache:
         concurrent threads asking for the same graph trigger one disk read,
         not several.
         """
-        return self._entry(graph, request=True)
+        return self._entry(graph, request=True, spec=spec)
 
-    def _entry(self, graph: PortLabeledGraph, *, request: bool) -> CacheEntry:
+    def spec_entry(self, spec, *, request: bool = True) -> Optional[CacheEntry]:
+        """The live entry of ``spec.build()``, found without building it.
+
+        Returns ``None`` when no live entry is indexed under ``spec``; the
+        caller then builds the graph and passes ``spec`` to :meth:`entry`.
+        A hit counts, refreshes and (under second-touch admission) promotes
+        the entry exactly as :meth:`entry` of the built graph would;
+        ``request=False`` is a peek that touches no counter.
+        """
+        if not _hashable(spec):
+            return None
+        with self._lock:
+            entry = self._specs.get(spec)
+            if entry is None or not request:
+                return entry
+            return self._find_locked(entry.graph.cache_key(), entry.graph, request=True)
+
+    def _find_locked(
+        self, key: str, graph: PortLabeledGraph, *, request: bool
+    ) -> Optional[CacheEntry]:
+        """The live entry of ``graph`` under ``key`` (a counted hit), or ``None``."""
+        bucket = self._buckets.get(key)
+        if bucket is not None:
+            self._buckets.move_to_end(key)
+            for stored in bucket:
+                if stored.graph is graph or stored.graph == graph:
+                    self._hits += 1
+                    return stored
+        probation_bucket = self._probation.get(key)
+        if probation_bucket is not None:
+            for stored in probation_bucket:
+                if stored.graph is graph or stored.graph == graph:
+                    self._hits += 1
+                    if request:
+                        # second observed request: promote to the main LRU
+                        probation_bucket.remove(stored)
+                        if not probation_bucket:
+                            del self._probation[key]
+                        self._probation_entries -= 1
+                        self._admit_locked(key, stored)
+                        self._admissions += 1
+                    return stored
+        return None
+
+    def _entry(self, graph: PortLabeledGraph, *, request: bool, spec=None) -> CacheEntry:
         key = graph.cache_key()
         with self._lock:
-            bucket = self._buckets.get(key)
-            if bucket is not None:
-                self._buckets.move_to_end(key)
-                for stored in bucket:
-                    if stored.graph == graph:
-                        self._hits += 1
-                        return stored
-            probation_bucket = self._probation.get(key)
-            if probation_bucket is not None:
-                for stored in probation_bucket:
-                    if stored.graph == graph:
-                        self._hits += 1
-                        if request:
-                            # second observed request: promote to the main LRU
-                            probation_bucket.remove(stored)
-                            if not probation_bucket:
-                                del self._probation[key]
-                            self._probation_entries -= 1
-                            self._admit_locked(key, stored)
-                            self._admissions += 1
-                        return stored
-            self._misses += 1
-            memo_seed = None
-            if self._store is not None:
-                record = self._store.load_for_graph(graph)
-                if record is not None:
-                    record.adopt_onto(graph)
-                    memo_seed = record.memo_entries()
-                    self._store_hits += 1
-                else:
-                    self._store_misses += 1
-            entry = CacheEntry(graph, ViewRefinement(graph))
-            if memo_seed:
-                entry.memo.update(memo_seed)
-            if self._admission == "second-touch":
-                self._probation.setdefault(key, []).append(entry)
-                self._probation_entries += 1
-                while self._probation_entries > self._probation_capacity():
-                    oldest_key = next(iter(self._probation))
-                    oldest_bucket = self._probation[oldest_key]
-                    rejected = oldest_bucket.pop(0)
-                    if not oldest_bucket:
-                        del self._probation[oldest_key]
-                    self._probation_entries -= 1
-                    self._admission_rejects += 1
-                    # keep refinement_passes monotone across the drop
-                    self._evicted_passes += rejected.refinement.passes
-                    self._evicted_bytes += rejected.estimated_bytes()
-            else:
-                self._admit_locked(key, entry)
+            entry = self._find_locked(key, graph, request=request)
+            if entry is None:
+                entry = self._create_locked(key, graph)
+            if (
+                spec is not None
+                and entry.graph.name == graph.name
+                and _hashable(spec)
+                and self._specs.setdefault(spec, entry) is entry
+                and spec not in entry.specs
+            ):
+                entry.specs.append(spec)
             return entry
+
+    def _create_locked(self, key: str, graph: PortLabeledGraph) -> CacheEntry:
+        """A miss: the entry of ``graph``, warm-started from the store if it can be."""
+        self._misses += 1
+        memo_seed = None
+        if self._store is not None:
+            record = self._store.load_for_graph(graph)
+            if record is not None:
+                record.adopt_onto(graph)
+                memo_seed = record.memo_entries()
+                self._store_hits += 1
+            else:
+                self._store_misses += 1
+        entry = CacheEntry(graph, ViewRefinement(graph))
+        if memo_seed:
+            entry.memo.update(memo_seed)
+        if self._admission == "second-touch":
+            self._probation.setdefault(key, []).append(entry)
+            self._probation_entries += 1
+            while self._probation_entries > self._probation_capacity():
+                oldest_key = next(iter(self._probation))
+                oldest_bucket = self._probation[oldest_key]
+                rejected = oldest_bucket.pop(0)
+                if not oldest_bucket:
+                    del self._probation[oldest_key]
+                self._probation_entries -= 1
+                self._admission_rejects += 1
+                self._drop_locked(rejected)
+        else:
+            self._admit_locked(key, entry)
+        return entry
+
+    def _drop_locked(self, entry: CacheEntry) -> None:
+        """Account for an entry leaving the cache and unindex its specs."""
+        self._evicted_bytes += entry.estimated_bytes()
+        for spec in entry.specs:
+            if self._specs.get(spec) is entry:
+                del self._specs[spec]
+        entry.specs = []
 
     def _admit_locked(self, key: str, entry: CacheEntry) -> None:
         """Insert ``entry`` into the main LRU and evict down to ``maxsize``."""
@@ -279,8 +349,7 @@ class RefinementCache:
                 del self._buckets[oldest_key]
             self._num_entries -= 1
             self._evictions += 1
-            self._evicted_passes += evicted.refinement.passes
-            self._evicted_bytes += evicted.estimated_bytes()
+            self._drop_locked(evicted)
 
     def get(self, graph: PortLabeledGraph) -> ViewRefinement:
         """The memoised refinement of ``graph`` (created on first request)."""
@@ -397,8 +466,7 @@ class RefinementCache:
                     if stored.graph == graph:
                         bucket.remove(stored)
                         setattr(self, counter, getattr(self, counter) - 1)
-                        self._evicted_passes += stored.refinement.passes
-                        self._evicted_bytes += stored.estimated_bytes()
+                        self._drop_locked(stored)
                         for memo_key, value in stored.memo.items():
                             entry.memo.setdefault(memo_key, value)
                 if not bucket:
@@ -417,8 +485,9 @@ class RefinementCache:
             self._hits = 0
             self._misses = 0
             self._evictions = 0
-            self._evicted_passes = 0
+            self._passes_base = refinement_pass_count()
             self._evicted_bytes = 0
+            self._specs.clear()
             self._store_hits = 0
             self._store_misses = 0
             self._admissions = 0
@@ -511,25 +580,15 @@ class RefinementCache:
 
     @property
     def refinement_passes(self) -> int:
-        """Total refinement passes performed by refinements this cache created.
+        """Refinement passes performed in this process since the last :meth:`clear`.
 
-        Includes passes of entries that have since been evicted, so the value
-        is monotone: if it is unchanged after a sweep, the sweep performed no
-        partition refinement at all -- every query was served from memoised
-        partitions.
+        Read from the kernel's process-wide counter, so it counts every
+        engine -- cached entries, evicted ones, and throwaway graphs the
+        cache never held -- and is monotone between clears: if it is
+        unchanged after a sweep, the sweep performed no partition refinement
+        at all.
         """
-        with self._lock:
-            live = sum(
-                entry.refinement.passes
-                for bucket in self._buckets.values()
-                for entry in bucket
-            )
-            live += sum(
-                entry.refinement.passes
-                for bucket in self._probation.values()
-                for entry in bucket
-            )
-            return live + self._evicted_passes
+        return refinement_pass_count() - self._passes_base
 
     @property
     def evicted_bytes(self) -> int:
@@ -585,6 +644,7 @@ class RefinementCache:
             "probation": self._probation_entries,
             "admissions": self.admissions,
             "admission_rejects": self.admission_rejects,
+            "spec_index": len(self._specs),
         }
 
 

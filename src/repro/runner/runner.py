@@ -44,11 +44,15 @@ __all__ = [
 ]
 
 
-def evaluate_graph(graph, sweep: SweepSpec, *, label: Optional[str] = None) -> Dict[str, Any]:
+def evaluate_graph(
+    graph, sweep: SweepSpec, *, label: Optional[str] = None, entry=None
+) -> Dict[str, Any]:
     """Evaluate one built graph into a flat result record.
 
-    Fetches the graph's entry from the process-wide refinement cache and
-    answers every requested query against that one refinement.  Feasibility
+    Fetches the graph's entry from the process-wide refinement cache (or
+    takes ``entry``, the graph's entry the caller already resolved, without
+    a second lookup) and answers every requested query against that one
+    refinement.  Feasibility
     and the ψ_Z values (keyed by their search parameters) are memoised on
     the entry, so replaying a sweep skips the PPE/CPPE joint searches as
     well as the refinement passes; with a store attached the entry itself
@@ -58,7 +62,7 @@ def evaluate_graph(graph, sweep: SweepSpec, *, label: Optional[str] = None) -> D
     ``search_limited`` instead of aborting the whole sweep.
     """
     with obs_span("evaluate_graph") as profile_span:
-        return _evaluate_graph_traced(graph, sweep, label, profile_span)
+        return _evaluate_graph_traced(graph, sweep, label, entry, profile_span)
 
 
 def _cheap_counters() -> Dict[str, int]:
@@ -81,10 +85,11 @@ def _cheap_counters() -> Dict[str, int]:
     return counters
 
 
-def _evaluate_graph_traced(graph, sweep: SweepSpec, label, profile_span) -> Dict[str, Any]:
+def _evaluate_graph_traced(graph, sweep: SweepSpec, label, entry, profile_span) -> Dict[str, Any]:
     if profile_span.recording:
         before = _cheap_counters()
-    entry = refinement_cache.entry(graph)
+    if entry is None:
+        entry = refinement_cache.entry(graph)
     refinement = entry.refinement
     memo_size_before = len(entry.memo)
     feasible = entry.memo.get(("feasible",))

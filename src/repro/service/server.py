@@ -30,13 +30,21 @@ a stress run or a production incident is correlatable with the server's
 own record of serving it.  Requests slower than a configurable threshold
 are additionally logged to stderr with their trace id.
 
-Connections are handled one request at a time and closed after the response
-(``Connection: close``); request bodies are capped; single-query responses
-are ``application/json`` with sorted keys and batch responses are
-``application/x-ndjson`` terminated by connection close, so both are
-byte-deterministic given deterministic payloads (batches modulo the
-documented volatile fields, which the stream omits -- the trace id being
-volatile by design).
+Connections are HTTP/1.1 keep-alive: a connection serves its requests one
+at a time, in order (pipelined requests queue in the socket), and a single
+JSON response -- ``/election``, ``/stats``, ``/healthz``, ``/metrics``,
+``/sweeps``, ``/trace`` and any error answer to a fully read request --
+leaves it open for the next one.  The server closes it after the response
+when the request says ``Connection: close`` or is HTTP/1.0, after every
+NDJSON batch stream (its length is unknown, so it ends at close), after a
+request it could not frame (malformed request line or headers, a 413
+body, a timeout), and when the server itself shuts down, which also
+closes idle connections at once.  Request bodies are capped;
+single-query responses are ``application/json`` with sorted keys and
+``Content-Length``, and batch responses are ``application/x-ndjson``, so
+both are byte-deterministic given deterministic payloads (batches modulo
+the documented volatile fields, which the stream omits -- the trace id
+being volatile by design).
 """
 
 from __future__ import annotations
@@ -62,7 +70,8 @@ __all__ = ["ElectionServer", "run_server"]
 
 #: Maximum accepted request body (bytes); adjacency submissions are compact.
 MAX_BODY_BYTES = 32 * 1024 * 1024
-#: Seconds a client may take to deliver one full request.
+#: Seconds a client may take to deliver one full request, and the longest a
+#: kept-alive connection may sit idle before the next one.
 REQUEST_TIMEOUT = 60.0
 #: Trace ids remembered for the ``/stats`` echo.
 TRACE_RING_SIZE = 64
@@ -111,31 +120,33 @@ def _normalize_path(path: Optional[str]) -> str:
     return "<other>"
 
 
-def _encode_response(status: int, payload: Dict[str, Any]) -> bytes:
+def _encode_response(status: int, payload: Dict[str, Any], keep_alive: bool = False) -> bytes:
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    return _encode_raw(status, body, "application/json")
+    return _encode_raw(status, body, "application/json", keep_alive)
 
 
-def _encode_raw(status: int, body: bytes, content_type: str) -> bytes:
+def _encode_raw(status: int, body: bytes, content_type: str, keep_alive: bool = False) -> bytes:
     head = (
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'OK')}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"Connection: close\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
         f"\r\n"
     ).encode("ascii")
     return head + body
 
 
 async def _read_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, bytes]]:
-    """Parse one request; returns ``(method, path, body)`` or ``None`` on EOF."""
-    request_line = await reader.readline()
-    if not request_line:
-        return None
+    reader: asyncio.StreamReader, request_line: bytes
+) -> Tuple[str, str, bytes, bool]:
+    """Parse the rest of one request after its ``request_line``.
+
+    Returns ``(method, path, body, keep_alive)``; ``keep_alive`` is whether
+    the client lets the connection carry another request (HTTP/1.1 without
+    ``Connection: close``).
+    """
     try:
-        method, target, _version = request_line.decode("latin-1").split(None, 2)
+        method, target, version = request_line.decode("latin-1").split(None, 2)
     except ValueError:
         raise ServiceError(400, "malformed request line") from None
     headers: Dict[str, str] = {}
@@ -149,6 +160,9 @@ async def _read_request(
             # empty-valued header under the whole line; reject it instead
             raise ServiceError(400, "malformed header line (expected 'Name: value')")
         headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        # an unread chunked body would be parsed as the next request
+        raise ServiceError(400, "Transfer-Encoding is not supported; send Content-Length")
     raw_length = headers.get("content-length", "").strip() or "0"
     # strict digits only: int() would also accept '-5', '+5' and '1_0',
     # letting a negative or garbage length reach readexactly() as a 500
@@ -159,7 +173,9 @@ async def _read_request(
         raise ServiceError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(content_length) if content_length else b""
     path = target.split("?", 1)[0]
-    return method.upper(), path, body
+    tokens = {token.strip() for token in headers.get("connection", "").lower().split(",")}
+    keep_alive = version.strip() == "HTTP/1.1" and "close" not in tokens
+    return method.upper(), path, body, keep_alive
 
 
 class ElectionServer:
@@ -178,6 +194,11 @@ class ElectionServer:
         self._host = host
         self._port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._closing = False
+        #: connection handler tasks, and the writers of those waiting for
+        #: their next request line (close() ends those at once)
+        self._handlers: set = set()
+        self._idle: set = set()
         self._batch = BatchCoordinator(service)
         # --- tracing -------------------------------------------------- #
         self._trace_nonce = os.urandom(3).hex()
@@ -362,9 +383,22 @@ class ElectionServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
+        """Stop listening, end every connection, then close the service.
+
+        Idle kept-alive connections are closed at once; a connection in the
+        middle of a request finishes that response and then closes, and
+        close() returns once every connection handler has.  (From Python
+        3.12 on ``wait_closed`` waits for every connection, so an idle one
+        left open would hold shutdown until the client hung up.)
+        """
+        self._closing = True
         if self._server is not None:
             self._server.close()
+            for writer in list(self._idle):
+                writer.close()
             await self._server.wait_closed()
+            if self._handlers:
+                await asyncio.wait(list(self._handlers))
             self._server = None
         self._service.close()
 
@@ -411,15 +445,55 @@ class ElectionServer:
 
     # ------------------------------------------------------------------ #
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Serve one connection: its requests in order, until one closes it."""
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        try:
+            while await self._handle_request(reader, writer):
+                pass
+        finally:
+            self._idle.discard(writer)
+            try:
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass
+            finally:
+                self._handlers.discard(task)
+
+    async def _handle_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Serve the connection's next request; returns whether to keep it open.
+
+        Waiting for the request line is idle time: it is bounded by
+        :data:`REQUEST_TIMEOUT`, cut short by :meth:`close`, and outside
+        the request's trace -- a connection that ends without another
+        request records nothing.
+        """
+        if self._closing:
+            return False
+        self._idle.add(writer)
+        try:
+            request_line = await asyncio.wait_for(reader.readline(), REQUEST_TIMEOUT)
+        except (asyncio.TimeoutError, ConnectionResetError, ValueError):
+            # ValueError: a request line past the stream's line limit
+            return False
+        finally:
+            self._idle.discard(writer)
+        if not request_line:
+            return False
         started = time.perf_counter()
         trace = self._new_trace()
         method: Optional[str] = None
         path: Optional[str] = None
         status_code: Optional[int] = None
+        keep_alive = False
         try:
             with obs_span("http_request", trace_id=trace) as root:
-                method, path, status_code = await self._serve_request(
-                    reader, writer, trace
+                method, path, status_code, keep_alive = await self._serve_request(
+                    reader, writer, trace, request_line
                 )
                 if root.recording:
                     root.add_tags(
@@ -429,8 +503,9 @@ class ElectionServer:
                             "status": status_code or 0,
                         }
                     )
-        except ConnectionResetError:
-            pass
+            await writer.drain()
+        except (ConnectionResetError, BrokenPipeError):
+            keep_alive = False
         finally:
             duration_s = time.perf_counter() - started
             if method is not None or status_code is not None:
@@ -441,60 +516,68 @@ class ElectionServer:
                 )
                 self._request_seconds.observe(duration_s, path=_normalize_path(path))
                 self._record_trace(trace, method, path, status_code, duration_s)
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        return keep_alive
 
     async def _serve_request(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, trace: str
-    ) -> Tuple[Optional[str], Optional[str], Optional[int]]:
-        """Route one request; returns ``(method, path, status)`` for telemetry.
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        trace: str,
+        request_line: bytes,
+    ) -> Tuple[Optional[str], Optional[str], Optional[int], bool]:
+        """Route one request; returns ``(method, path, status, keep_alive)``.
 
         Runs inside the request's root span, so every stage span recorded
         below (parse, batch stages, dispatch handlers) parents correctly.
+        ``keep_alive`` says whether the connection may carry another
+        request; the response headers already told the client.
         """
         try:
             with obs_span("parse"):
-                request = await asyncio.wait_for(_read_request(reader), REQUEST_TIMEOUT)
+                request = await asyncio.wait_for(
+                    _read_request(reader, request_line), REQUEST_TIMEOUT
+                )
         except ServiceError as error:
             writer.write(
                 _encode_response(
                     error.status, {"error": error.message, "trace_id": trace}
                 )
             )
-            return None, None, error.status
+            return None, None, error.status, False
         except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-            return None, None, None
-        if request is None:
-            return None, None, None
-        method, path, body = request
+            return None, None, None, False
+        method, path, body, keep_alive = request
+        keep_alive = keep_alive and not self._closing
         self._service.count_request()
         if path == "/elections" and method == "POST":
-            return method, path, await self._handle_batch(writer, body, trace)
+            status = await self._handle_batch(writer, body, trace, keep_alive)
+            # a 200 is an NDJSON stream, which ends at close
+            return method, path, status, keep_alive and status != 200
         if path == "/metrics":
             if method != "GET":
                 writer.write(
-                    _encode_response(405, {"error": "use GET", "trace_id": trace})
+                    _encode_response(
+                        405, {"error": "use GET", "trace_id": trace}, keep_alive
+                    )
                 )
-                return method, path, 405
+                return method, path, 405, keep_alive
             # off the loop: gauge callbacks may take coordinator locks
             # or read the store manifest
             loop = asyncio.get_running_loop()
             rendered = await loop.run_in_executor(None, self._metrics.render)
             writer.write(
-                _encode_raw(200, rendered.encode("utf-8"), MetricsRegistry.CONTENT_TYPE)
+                _encode_raw(
+                    200, rendered.encode("utf-8"), MetricsRegistry.CONTENT_TYPE, keep_alive
+                )
             )
-            return method, path, 200
+            return method, path, 200, keep_alive
         status, payload = await self._dispatch(method, path, body)
         payload["trace_id"] = trace
-        writer.write(_encode_response(status, payload))
-        return method, path, status
+        writer.write(_encode_response(status, payload, keep_alive))
+        return method, path, status, keep_alive
 
     async def _handle_batch(
-        self, writer: asyncio.StreamWriter, body: bytes, trace: str
+        self, writer: asyncio.StreamWriter, body: bytes, trace: str, keep_alive: bool
     ) -> int:
         """Stream one batch as NDJSON (body length unknown; ends at close).
 
@@ -511,7 +594,7 @@ class ElectionServer:
         except ServiceError as error:
             writer.write(
                 _encode_response(
-                    error.status, {"error": error.message, "trace_id": trace}
+                    error.status, {"error": error.message, "trace_id": trace}, keep_alive
                 )
             )
             return error.status

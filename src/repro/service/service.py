@@ -108,7 +108,9 @@ def _resolve_delta(parsed: Dict[str, Any]):
     if isinstance(base_ref, dict):
         try:
             spec = GraphSpec.make(base_ref["kind"], **base_ref.get("params", {}))
-            base_graph = spec.build()
+            # a peek: delta_entry counts its own base lookup
+            cached = refinement_cache.spec_entry(spec, request=False)
+            base_graph = cached.graph if cached is not None else spec.build()
         except ValueError as error:
             status.apply("error")
             raise ServiceError(400, str(error)) from None
@@ -145,47 +147,67 @@ def _resolve_delta(parsed: Dict[str, Any]):
     return entry, entry.graph.name or base_label, delta_section, status
 
 
+def _check_size(graph) -> None:
+    if graph.num_nodes > MAX_SUBMITTED_NODES:
+        raise ServiceError(400, f"graph too large (> {MAX_SUBMITTED_NODES} nodes)")
+
+
 def compute_election(parsed: Dict[str, Any], *, compute_delay: float = 0.0) -> Dict[str, Any]:
-    """Build the graph of a parsed query and answer it (pure worker-side code).
+    """Resolve a parsed query to its cache entry and answer it (pure worker-side code).
 
     Runs on whichever backend the service uses -- a thread of the bounded
     pool or a shard worker process -- and touches only process-wide state
     (the refinement cache and, through it, the attached store), never the
     service instance, so thread and process backends execute the very same
     code and return byte-identical responses.
+
+    Every answer is read off the entry's own graph, whose refinement (and
+    fingerprint) the cache already holds: a warm request refines nothing.
+    A repeat spec query does not even build its graph -- the cache's spec
+    index names the entry.  Only the map advice is encoded from the
+    request's own graph when there is one, because it carries the graph's
+    name.
     """
     with obs_span("compute_election") as sp:
         if compute_delay:
             time.sleep(compute_delay)
         started = time.perf_counter()
         delta_section = delta_status = None
+        entry = request_graph = spec = None
         with obs_span("graph_build"):
             if parsed.get("delta") is not None:
                 entry, label, delta_section, delta_status = _resolve_delta(parsed)
-                graph = entry.graph
+                _check_size(entry.graph)
             elif parsed["spec"] is not None:
                 spec_dict = parsed["spec"]
                 try:
                     spec = GraphSpec.make(spec_dict["kind"], **spec_dict.get("params", {}))
-                    graph = spec.build()
+                    entry = refinement_cache.spec_entry(spec)
+                    if entry is None:
+                        request_graph = spec.build()
                 except ValueError as error:
                     raise ServiceError(400, str(error)) from None
                 label = spec.label
             else:
                 try:
-                    graph = graph_from_dict(parsed["graph"], validate=True)
+                    request_graph = graph_from_dict(parsed["graph"], validate=True)
                 except (PortLabelingError, KeyError, TypeError, ValueError) as error:
                     raise ServiceError(400, f"invalid graph: {error}") from None
-                label = graph.name or "submitted"
-        if graph.num_nodes > MAX_SUBMITTED_NODES:
-            raise ServiceError(400, f"graph too large (> {MAX_SUBMITTED_NODES} nodes)")
+                label = request_graph.name or "submitted"
+        if entry is None:
+            # checked before the cache holds (and the store is searched for)
+            # a graph this service refuses to answer about
+            _check_size(request_graph)
+            with obs_span("cache_lookup"):
+                entry = refinement_cache.entry(request_graph, spec=spec)
+        graph = entry.graph
         sweep = SweepSpec.make(
             (),
             tasks=parsed["tasks"],
             max_depth=parsed["max_depth"],
             max_states=parsed["max_states"],
         )
-        record = evaluate_graph(graph, sweep, label=label)
+        record = evaluate_graph(graph, sweep, label=label, entry=entry)
         indices = {task.value: record[f"psi_{task.value}"] for task in parsed["tasks"]}
         limited = [code for code in record.get("search_limited", "").split(",") if code]
         response: Dict[str, Any] = {
@@ -202,7 +224,8 @@ def compute_election(parsed: Dict[str, Any], *, compute_delay: float = 0.0) -> D
         if parsed["advice"]:
             from ..advice.map_advice import encode_map_advice  # lazy import, heavy layer
 
-            response["advice"] = {"map": encode_map_advice(graph)}
+            named = request_graph if request_graph is not None else graph
+            response["advice"] = {"map": encode_map_advice(named)}
         if delta_status is not None:
             delta_status.apply("evaluated")
             response["delta"] = delta_section

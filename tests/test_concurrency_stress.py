@@ -6,6 +6,7 @@ implementation -- actual sockets, actual worker processes, actual signals
 -- with hypothesis-generated schedules of hostile client behaviour:
 
 * normal queries and NDJSON sweeps, interleaved,
+* several requests on one kept-alive connection,
 * clients that disconnect mid-stream (RST, not FIN),
 * clients that read the stream one tiny chunk at a time,
 * malformed sweep-id probes,
@@ -22,6 +23,7 @@ by the dedicated CI job via ``-m stress``.
 
 from __future__ import annotations
 
+import http.client
 import json
 import multiprocessing
 import os
@@ -95,6 +97,29 @@ def _op_sweep(running, count: int, seed: int, window: int) -> None:
     )
     assert lines[-1]["status"] == "done"
     assert lines[-1]["ok"] + lines[-1]["errors"] == count
+
+
+def _op_reuse(running, count: int) -> None:
+    """Send ``count`` requests over one keep-alive connection; it must hold."""
+    conn = http.client.HTTPConnection("127.0.0.1", running.server.port, timeout=30)
+    try:
+        sock = None
+        for i in range(count):
+            if i % 2:
+                conn.request("GET", "/healthz")
+            else:
+                body = json.dumps(
+                    {"spec": {"kind": "asymmetric-cycle", "params": {"n": 5 + i}}}
+                )
+                conn.request("POST", "/election", body=body)
+            response = conn.getresponse()
+            assert response.status == 200
+            json.loads(response.read())
+            assert not response.will_close, "the server closed a kept-alive connection"
+            sock = sock or conn.sock
+            assert conn.sock is sock, "the client had to reconnect"
+    finally:
+        conn.close()
 
 
 def _raw_batch_socket(running, payload: dict) -> socket.socket:
@@ -177,6 +202,7 @@ _windows = st.integers(min_value=1, max_value=3)
 
 _common_ops = st.one_of(
     st.tuples(st.just("query"), st.integers(min_value=0, max_value=6)),
+    st.tuples(st.just("reuse"), st.integers(min_value=2, max_value=5)),
     st.tuples(st.just("sweep"), _counts, _seeds, _windows),
     st.tuples(st.just("disconnect"), _counts, _seeds),
     st.tuples(st.just("slow_read"), _counts, _seeds),
@@ -193,6 +219,8 @@ def _run_op(running, op: tuple) -> None:
     kind, args = op[0], op[1:]
     if kind == "query":
         _op_query(running, *args)
+    elif kind == "reuse":
+        _op_reuse(running, *args)
     elif kind == "sweep":
         _op_sweep(running, *args)
     elif kind == "disconnect":

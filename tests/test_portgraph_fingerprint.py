@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 
+import pytest
+
 from repro.portgraph.graph import PortLabeledGraph
 from repro.portgraph import generators
 
@@ -156,3 +158,45 @@ class TestCacheKey:
             generators.complete_graph(4).cache_key(),
         }
         assert len(keys) == 5
+
+
+# --------------------------------------------------------------------------- #
+# the fingerprint is a pure function of the graph
+# --------------------------------------------------------------------------- #
+#: beacon-tail members whose refinement fixpoint lies past 64 rounds: a
+#: fingerprint once capped at 64 rounds gave these one value on a fresh
+#: graph and another after the engine had reached its fixpoint
+DEEP_FIXPOINT_SPECS = [
+    {"blob": 20, "tail": 140, "seed": 0},
+    {"blob": 20, "tail": 150, "seed": 1},
+    {"blob": 20, "tail": 200, "seed": 6},
+    {"blob": 20, "tail": 220, "seed": 8},
+]
+
+
+class TestFingerprintIsPure:
+    @pytest.mark.parametrize("params", DEEP_FIXPOINT_SPECS)
+    def test_fresh_refined_and_stored_fingerprints_agree(self, params):
+        from repro.runner import GraphSpec
+        from repro.store import ArtifactRecord
+
+        spec = GraphSpec.make("beacon-tail", **params)
+        graph = spec.build()
+        fresh = graph.fingerprint()
+
+        refined = spec.build()
+        assert refined.refinement_engine().ensure_stable() > 64
+        assert refined.fingerprint() == fresh
+
+        record = ArtifactRecord.from_computed(spec.build(), include_advice=False)
+        assert record.fingerprint == fresh
+        # adopting the stored value onto a graph that fingerprinted itself
+        # must not contradict it
+        record.adopt_onto(graph)
+
+    def test_single_node_graph(self):
+        # depth 0 is already discrete: the fixpoint is 0 and no pass runs,
+        # so depth 1 is never materialised and the digest stops at depth 0
+        graph = PortLabeledGraph([{}], validate=False)
+        assert graph.refinement_engine().computed_depth == 0
+        assert graph.fingerprint().startswith("5395c7c9")

@@ -164,6 +164,84 @@ class TestRefinementCache:
         assert refinement_cache.hits >= 1
 
 
+    def test_refinement_passes_see_graphs_the_cache_never_held(self):
+        cache = RefinementCache()
+        assert cache.refinement_passes == 0
+        generators.path_graph(7).fingerprint()  # a throwaway graph refines
+        assert cache.refinement_passes > 0
+        cache.clear()
+        assert cache.refinement_passes == 0
+
+
+class TestSpecIndex:
+    def _specs(self, count):
+        return [GraphSpec.make("asymmetric-cycle", n=5 + i) for i in range(count)]
+
+    def test_repeat_spec_finds_its_entry_without_building(self, monkeypatch):
+        cache = RefinementCache()
+        spec = self._specs(1)[0]
+        assert cache.spec_entry(spec) is None
+        entry = cache.entry(spec.build(), spec=spec)
+        assert cache.stats()["spec_index"] == 1
+
+        def no_build(_spec):
+            raise AssertionError("a repeat spec lookup built its graph")
+
+        monkeypatch.setattr(GraphSpec, "build", no_build)
+        assert cache.spec_entry(spec) is entry
+        assert cache.hits == 1 and cache.misses == 1
+        assert cache.spec_entry(spec, request=False) is entry
+        assert cache.hits == 1  # a peek counts nothing
+
+    @pytest.mark.parametrize("admission", ["always", "second-touch"])
+    def test_spec_and_build_paths_count_alike(self, admission):
+        specs = self._specs(12)
+        order = [0, 1, 0, 2, 3, 1, 4, 5, 6, 7, 8, 9, 10, 11, 0, 2, 11, 3]
+        by_build = RefinementCache(maxsize=4, admission=admission)
+        by_spec = RefinementCache(maxsize=4, admission=admission)
+        for i in order:
+            by_build.entry(specs[i].build())
+            if by_spec.spec_entry(specs[i]) is None:
+                by_spec.entry(specs[i].build(), spec=specs[i])
+        keys = ("hits", "misses", "evictions", "currsize", "probation", "admissions",
+                "admission_rejects")
+        assert {k: by_spec.stats()[k] for k in keys} == {k: by_build.stats()[k] for k in keys}
+
+    @pytest.mark.parametrize("admission", ["always", "second-touch"])
+    def test_eviction_and_probation_drops_unindex(self, admission):
+        cache = RefinementCache(maxsize=1, admission=admission)
+        specs = self._specs(3)
+        for spec in specs:
+            cache.entry(spec.build(), spec=spec)
+        live = {id(entry) for bucket in cache._buckets.values() for entry in bucket}
+        live |= {id(entry) for bucket in cache._probation.values() for entry in bucket}
+        for spec in specs:
+            entry = cache.spec_entry(spec, request=False)
+            assert entry is None or id(entry) in live
+        assert cache.stats()["spec_index"] == len(live)
+        cache.clear()
+        assert cache.stats()["spec_index"] == 0
+        assert cache.spec_entry(specs[0]) is None
+
+    def test_an_entry_under_another_name_is_not_indexed(self):
+        cache = RefinementCache()
+        spec = self._specs(1)[0]
+        graph = spec.build()
+        renamed = PortLabeledGraph(
+            [graph.adjacency(v) for v in graph.nodes()], name="other", validate=False
+        )
+        entry = cache.entry(renamed)
+        assert cache.entry(graph, spec=spec) is entry
+        assert cache.spec_entry(spec) is None
+
+    def test_unhashable_specs_are_not_indexed(self):
+        cache = RefinementCache()
+        spec = GraphSpec(kind="asymmetric-cycle", params=(("n", {"bad": 1}),))
+        assert cache.spec_entry(spec) is None
+        cache.entry(generators.asymmetric_cycle(6), spec=spec)
+        assert cache.stats()["spec_index"] == 0
+
+
 class TestGraphSpec:
     def test_build_matches_direct_construction(self):
         spec = GraphSpec.make("asymmetric-cycle", n=6)

@@ -172,6 +172,56 @@ def test_store_backed_service_answers_cold_with_zero_refinement(tmp_path):
     assert stats["cache"]["store_hits"] == 1
 
 
+#: the ROADMAP anchor, and a beacon-tail member whose fixpoint lies past 64
+WARM_PATH_SPECS = [
+    ({"kind": "gdk", "params": {"delta": 4, "index": 2, "k": 1}}, None),
+    ({"kind": "beacon-tail", "params": {"blob": 20, "tail": 150, "seed": 1}}, ["S", "PE"]),
+]
+
+
+def _parsed(query, tasks) -> dict:
+    """``query`` in the parsed form :func:`compute_election` takes."""
+    parsed = {
+        "graph": None,
+        "spec": None,
+        "base": None,
+        "delta": None,
+        "tasks": [Task(code) for code in tasks] if tasks else list(Task.ordered()),
+        "max_depth": None,
+        "max_states": 200_000,
+        "advice": False,
+    }
+    parsed.update(query)
+    return parsed
+
+
+@pytest.mark.parametrize("spec, tasks", WARM_PATH_SPECS)
+def test_warm_request_refines_nothing_and_answers_like_cold(spec, tasks):
+    """Warm spec, adjacency and advice requests are lookups: no engine of the
+    process refines, and every answer equals the cold one byte for byte."""
+    from repro.kernel import refinement_pass_count
+    from repro.runner import GraphSpec
+    from repro.service import compute_election
+
+    body = graph_to_dict(GraphSpec.from_dict(spec).build())
+    queries = [{"spec": spec}, {"graph": body}, {"spec": spec, "advice": True}]
+    cold = []
+    for query in queries:
+        refinement_cache.clear()
+        cold.append(compute_election(_parsed(query, tasks)))
+    # the last cold query left the graph's entry in the cache: now warm
+    before = refinement_pass_count()
+    warm = [compute_election(_parsed(query, tasks)) for query in queries]
+    assert refinement_pass_count() == before
+    for cold_response, warm_response in zip(cold, warm):
+        for response in (cold_response, warm_response):
+            response.pop("elapsed_ms")
+            response.pop("trace_id", None)
+        assert json.dumps(warm_response, sort_keys=True) == json.dumps(
+            cold_response, sort_keys=True
+        )
+
+
 def test_stats_surfaces_every_layer(tmp_path):
     service = make_service(store=ArtifactStore(str(tmp_path)), workers=3)
     with _RunningServer(service) as running:
