@@ -549,6 +549,8 @@ def _command_bench(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace, sweep, runner, refinement_cache) -> int:
+    from .obs import counter_snapshot
+
     if args.batch:
         try:
             written = _stream_ndjson(runner, sweep, args.output)
@@ -559,7 +561,7 @@ def _run_bench(args: argparse.Namespace, sweep, runner, refinement_cache) -> int
         return 0
     report = None
     for run_number in range(1, args.repeat + 1):
-        before = refinement_cache.stats()
+        before = counter_snapshot(refinement_cache)["cache"]
         try:
             report = runner.run(sweep)
         except ValueError as error:

@@ -311,23 +311,6 @@ class NumpyPartitionRefinement:
             self._refine_once()
         return self._stable_depth
 
-    def apply_delta(self, csr: CSRGraph, node_map, touched):
-        """Delta replay — the certified python fallback.
-
-        The dirty-ball replay is inherently sparse (per depth it signatures
-        only the dirty ball plus one O(n) inheritance sweep), which the
-        batched full-width passes of this backend cannot exploit, so the
-        numpy engine delegates to
-        :meth:`repro.kernel.refine.CSRPartitionRefinement.apply_delta`,
-        reading this engine's raw tables as the base.  The returned engine
-        is the python one; its tables are byte-identical to a cold full
-        refinement on either backend (certified by the delta equivalence
-        suite).
-        """
-        from .refine import CSRPartitionRefinement
-
-        return CSRPartitionRefinement.apply_delta(self, csr, node_map, touched)
-
     # ------------------------------------------------------------------ #
     # O(1) / O(output) queries (depth must already be effective)
     # ------------------------------------------------------------------ #

@@ -628,24 +628,31 @@ class RefinementCache:
                 for entry in bucket
             )
 
-    def stats(self) -> Dict[str, int]:
-        """A snapshot of all counters (suitable for printing or diffing)."""
+    def counters(self) -> Dict[str, int]:
+        """Every counter and size that is a point read (all but ``live_bytes``).
+
+        Lock-free (single int reads), cheap enough to take before and after
+        one evaluation; :func:`repro.obs.counter_snapshot` reads it.
+        """
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "currsize": len(self),
-            "maxsize": self.maxsize,
+            "hits": self._hits,
+            "misses": self._misses,
+            "evictions": self._evictions,
+            "currsize": self._num_entries,
+            "maxsize": self._maxsize,
             "refinement_passes": self.refinement_passes,
-            "evicted_bytes": self.evicted_bytes,
-            "live_bytes": self.live_bytes(),
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
+            "evicted_bytes": self._evicted_bytes,
+            "store_hits": self._store_hits,
+            "store_misses": self._store_misses,
             "probation": self._probation_entries,
-            "admissions": self.admissions,
-            "admission_rejects": self.admission_rejects,
+            "admissions": self._admissions,
+            "admission_rejects": self._admission_rejects,
             "spec_index": len(self._specs),
         }
+
+    def stats(self) -> Dict[str, int]:
+        """:meth:`counters` plus the scanned ``live_bytes`` estimate."""
+        return dict(self.counters(), live_bytes=self.live_bytes())
 
 
 #: The process-wide cache used by the library's default code paths.

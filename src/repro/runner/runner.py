@@ -26,8 +26,8 @@ import os
 
 from ..core.election_index import SearchLimitExceeded, election_index
 from ..core.feasibility import is_feasible
-from ..core.election_index import search_statistics
 from ..kernel.backend import BACKEND_ENV_VAR
+from ..obs import Snapshot, counter_snapshot
 from ..obs import span as obs_span
 from .bootstrap import attach_store_path, bootstrap_worker
 from .cache import refinement_cache
@@ -65,29 +65,32 @@ def evaluate_graph(
         return _evaluate_graph_traced(graph, sweep, label, entry, profile_span)
 
 
-def _cheap_counters() -> Dict[str, int]:
-    """Point-read counters only -- no cache scan, no manifest read -- so a
-    traced warm evaluation stays within the tracing-overhead budget."""
-    counters = dict(search_statistics())
-    counters["cache_hits"] = refinement_cache.hits
-    counters["cache_misses"] = refinement_cache.misses
-    counters["refinement_passes"] = refinement_cache.refinement_passes
-    counters["store_hits"] = refinement_cache.store_hits
-    counters["store_misses"] = refinement_cache.store_misses
-    store = refinement_cache.store
-    if store is not None:
-        io = store.io_counters()
-        counters["store_bytes_read"] = io["bytes_read"]
-        counters["store_bytes_written"] = io["bytes_written"]
-    else:
-        counters["store_bytes_read"] = 0
-        counters["store_bytes_written"] = 0
-    return counters
+def _span_tags(before: Snapshot, after: Snapshot) -> Dict[str, int]:
+    """The ``evaluate_graph`` span tags: changes of eleven snapshot counters.
+
+    Spelled out rather than looped: this runs on every traced evaluation.
+    """
+    search, search0 = after["search"], before["search"]
+    cache, cache0 = after["cache"], before["cache"]
+    store, store0 = after["store"], before["store"]
+    return {
+        "searches": search["searches"] - search0["searches"],
+        "search_states": search["states"] - search0["states"],
+        "search_cells": search["cells"] - search0["cells"],
+        "limit_hits": search["limit_hits"] - search0["limit_hits"],
+        "cache_hits": cache["hits"] - cache0["hits"],
+        "cache_misses": cache["misses"] - cache0["misses"],
+        "refinement_passes": cache["refinement_passes"] - cache0["refinement_passes"],
+        "store_hits": cache["store_hits"] - cache0["store_hits"],
+        "store_misses": cache["store_misses"] - cache0["store_misses"],
+        "store_bytes_read": store["bytes_read"] - store0["bytes_read"],
+        "store_bytes_written": store["bytes_written"] - store0["bytes_written"],
+    }
 
 
 def _evaluate_graph_traced(graph, sweep: SweepSpec, label, entry, profile_span) -> Dict[str, Any]:
     if profile_span.recording:
-        before = _cheap_counters()
+        before = counter_snapshot(refinement_cache, hot_tier=False)
     if entry is None:
         entry = refinement_cache.entry(graph)
     refinement = entry.refinement
@@ -134,10 +137,7 @@ def _evaluate_graph_traced(graph, sweep: SweepSpec, label, entry, profile_span) 
         # the store) skips the record re-encode and disk compare entirely
         refinement_cache.persist(graph)
     if profile_span.recording:
-        after = _cheap_counters()
-        tags = {key: after[key] - before[key] for key in after}
-        tags["search_states"] = tags.pop("states")
-        tags["search_cells"] = tags.pop("cells")
+        tags = _span_tags(before, counter_snapshot(refinement_cache, hot_tier=False))
         tags["graph"] = record["graph"]
         tags["n"] = graph.num_nodes
         profile_span.add_tags(tags)
@@ -175,8 +175,10 @@ class RunReport:
     """A finished sweep: the table plus execution metadata.
 
     Only :attr:`table` is deterministic; :attr:`elapsed` and
-    :attr:`cache_stats` describe this particular execution.  For parallel
-    runs ``cache_stats`` reflects the parent process only -- worker caches
+    :attr:`cache_stats` describe this particular execution.
+    ``cache_stats`` is the ``cache`` section of
+    :func:`repro.obs.counter_snapshot` (point reads: no ``live_bytes``).
+    For parallel runs it reflects the parent process only -- worker caches
     live and die with their processes.
     """
 
@@ -272,7 +274,7 @@ class ExperimentRunner:
             table=table,
             elapsed=elapsed,
             workers=self._workers,
-            cache_stats=refinement_cache.stats(),
+            cache_stats=counter_snapshot(refinement_cache)["cache"],
             store_stats=store.stats() if store is not None else None,
         )
 

@@ -64,7 +64,7 @@ from ..obs import default_recorder
 from ..obs import span as obs_span
 from .batch import BatchCoordinator
 from .metrics import MetricsRegistry
-from .service import ElectionService, ServiceError
+from .service import ElectionService, ServiceError, shard_totals
 
 __all__ = ["ElectionServer", "run_server"]
 
@@ -268,7 +268,8 @@ class ElectionServer:
             "Parent-side shard counters (process backend; zero elsewhere).",
             ("event",),
             callback=lambda: {
-                (k,): v for k, v in service.backend_telemetry().items()
+                (event,): value
+                for event, value in shard_totals(service.shard_rows()).items()
             },
         )
         metrics.gauge(
@@ -292,7 +293,7 @@ class ElectionServer:
             ("shard",),
             callback=lambda: {
                 (str(row["shard"]),): row["busy_seconds"]
-                for row in service.backend_heat()
+                for row in service.shard_rows()
             },
         )
         metrics.counter(
@@ -301,7 +302,7 @@ class ElectionServer:
             ("shard",),
             callback=lambda: {
                 (str(row["shard"]),): row["dispatched"]
-                for row in service.backend_heat()
+                for row in service.shard_rows()
             },
         )
         metrics.gauge(
@@ -310,7 +311,7 @@ class ElectionServer:
             ("shard",),
             callback=lambda: {
                 (str(row["shard"]),): row["queue_depth"]
-                for row in service.backend_heat()
+                for row in service.shard_rows()
             },
         )
         metrics.gauge(
@@ -319,7 +320,7 @@ class ElectionServer:
             ("event",),
             callback=lambda: {
                 (event,): value
-                for event, value in service.observed_counters()["search"].items()
+                for event, value in service.counters()["search"].items()
             },
         )
         metrics.gauge(
@@ -328,7 +329,7 @@ class ElectionServer:
             ("event",),
             callback=lambda: {
                 (event,): value
-                for event, value in service.observed_counters()["store"].items()
+                for event, value in service.counters()["store"].items()
             },
         )
         metrics.gauge(

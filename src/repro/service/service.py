@@ -36,9 +36,10 @@ import hashlib
 import json
 import sys
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..core import Task, search_statistics
+from ..core import Task
+from ..obs import Snapshot
 from ..obs import span as obs_span
 from ..portgraph.io import graph_from_dict
 from ..portgraph.validation import PortLabelingError
@@ -50,6 +51,7 @@ __all__ = [
     "ServiceError",
     "compute_election",
     "deterministic_response",
+    "shard_totals",
 ]
 
 #: Hard cap on submitted adjacency sizes (nodes); protects the joint
@@ -236,6 +238,18 @@ def compute_election(parsed: Dict[str, Any], *, compute_delay: float = 0.0) -> D
         return response
 
 
+def shard_totals(rows: List[Dict[str, Any]]) -> Dict[str, int]:
+    """Fleet totals of :meth:`ElectionService.shard_rows` (``shards`` is
+    their count; nothing without shards): what ``/stats`` ``shards`` and
+    the ``repro_shard_events`` family of ``/metrics`` report."""
+    if not rows:
+        return {}
+    totals = {"shards": len(rows)}
+    for event in ("spawns", "recycles", "crashes", "dispatched"):
+        totals[event] = sum(row[event] for row in rows)
+    return totals
+
+
 class ElectionService:
     """The query front end (see the module docstring).
 
@@ -309,7 +323,7 @@ class ElectionService:
             try:
                 self._backend = worker_backends.ProcessShardBackend(
                     shards=shards if shards is not None else workers,
-                    store_path=store.root if store is not None else None,
+                    store=store,
                     compute_delay=compute_delay,
                     recycle_after=recycle_after,
                     hot_tier_bytes=hot,
@@ -380,49 +394,23 @@ class ElectionService:
 
     def queue_depth(self) -> int:
         """Backend computations accepted but not yet running (for /metrics)."""
-        try:
-            return self._backend.queue_depth()
-        except AttributeError:  # pragma: no cover - duck-typed test backends
-            return 0
+        return self._backend.queue_depth()
 
-    def backend_telemetry(self) -> Dict[str, int]:
-        """Parent-side backend lifecycle counters (for /metrics); cheap."""
-        try:
-            return self._backend.telemetry()
-        except AttributeError:  # pragma: no cover - duck-typed test backends
-            return {}
+    def counters(self) -> Snapshot:
+        """Cache/search/store counters of wherever the computing happens.
 
-    def backend_heat(self) -> list:
-        """Per-shard heat rows (busy seconds, dispatched, queue depth).
-
-        Parent-side counters only -- safe to call from a /metrics scrape.
-        The thread backend has no shards and reports an empty list.
+        The one source of the ``cache``/``search``/``store`` sections of
+        ``/stats`` and the ``repro_search_events``/``repro_store_events``
+        families of ``/metrics``; never round-trips a worker pipe (see
+        :class:`~repro.service.workers.ComputeBackend`).  Point reads only:
+        ``/stats`` asks the backend for the scanned ``live_bytes`` itself.
         """
-        try:
-            return self._backend.heat()
-        except AttributeError:  # pragma: no cover - duck-typed test backends
-            return []
+        return self._backend.counters()
 
-    def observed_counters(self) -> Dict[str, Dict[str, int]]:
-        """Kernel-search and store counters, aggregated where computing happens.
-
-        For /metrics: unlike :meth:`stats`, this never round-trips a worker
-        pipe.  The thread backend reads this process's live counters; the
-        process backend sums the per-job counter snapshots its workers
-        piggyback on every reply (plus the counters of cleanly retired
-        workers), so the scrape lags a busy shard by at most one job.  The
-        parent's own store-handle counters are folded in either way.
-        """
-        try:
-            observed = self._backend.observed_counters()
-        except AttributeError:  # pragma: no cover - duck-typed test backends
-            observed = {"search": dict(search_statistics()), "store": {}}
-        store_section = observed.setdefault("store", {})
-        if self._store is not None:
-            for key, value in self._store.stats().items():
-                if key != "records" and isinstance(value, int):
-                    store_section[key] = store_section.get(key, 0) + value
-        return observed
+    def shard_rows(self) -> List[Dict[str, Any]]:
+        """Per-shard rows (lifecycle, jobs, busy seconds, queue depth); the
+        thread backend has no shards and reports an empty list."""
+        return self._backend.shard_rows()
 
     def count_request(self) -> None:
         """Tally one HTTP request (any endpoint); called by the server."""
@@ -595,15 +583,14 @@ class ElectionService:
     def stats(self) -> Dict[str, Any]:
         """Counters of every layer: service, backend, cache, store, searches.
 
-        ``cache`` and ``search`` come from wherever the computing actually
-        happens: the calling process for the thread backend, the aggregated
-        (summed) shard workers for the process backend -- so invariants like
-        "a store-warm replay performs zero refinement passes" are checked
-        against the same numbers regardless of backend.
+        ``cache``, ``search`` and ``store`` are :meth:`counters`, the same
+        numbers ``/metrics`` renders -- so invariants like "a store-warm
+        replay performs zero refinement passes" are checked against the
+        same numbers regardless of backend.
         """
         from ..kernel import active_backend
 
-        backend_stats = self._backend.stats()
+        counters = self._backend.counters(live_bytes=True)
         payload: Dict[str, Any] = {
             "service": dict(
                 self._counters,
@@ -615,18 +602,25 @@ class ElectionService:
                 kernel_backend=active_backend(),
                 hot_tier_bytes=self._hot_tier_bytes,
             ),
-            "cache": backend_stats["cache"],
-            "search": backend_stats["search"],
+            "cache": counters["cache"],
+            "search": counters["search"],
         }
-        if "shards" in backend_stats:
-            payload["shards"] = backend_stats["shards"]
+        rows = self.shard_rows()
+        if rows:
+            totals = shard_totals(rows)
+            payload["shards"] = {
+                "count": totals["shards"],
+                "recycle_after": self._backend.recycle_after,
+                "spawns": totals["spawns"],
+                "recycles": totals["recycles"],
+                "crashes": totals["crashes"],
+                # the queue depths are /metrics gauges only
+                "per_shard": [
+                    {key: value for key, value in row.items() if key != "queue_depth"}
+                    for row in rows
+                ],
+            }
         if self._store is not None:
-            # counter keys (hits, puts, put_spills, manifest_rebuilds, ...)
-            # sum the parent handle with the shard workers' handles; the
-            # record count is the shared manifest's and is not summed
-            store_section = dict(self._store.stats())
-            for key, value in backend_stats.get("store", {}).items():
-                if key != "records" and isinstance(value, int):
-                    store_section[key] = store_section.get(key, 0) + value
-            payload["store"] = store_section
+            # the record count is a gauge of the shared manifest, not a counter
+            payload["store"] = dict(counters["store"], records=self._store.stats()["records"])
         return payload

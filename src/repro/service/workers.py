@@ -50,12 +50,19 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
 
-from ..core import search_statistics
 from ..kernel.backend import BACKEND_ENV_VAR
 from ..obs import activate as activate_trace
-from ..obs import current_context, default_recorder, record_span
+from ..obs import (
+    Snapshot,
+    counter_snapshot,
+    current_context,
+    default_recorder,
+    merge_snapshots,
+    record_span,
+)
 from ..runner.bootstrap import bootstrap_worker
 from ..runner.cache import refinement_cache
+from ..store import ArtifactStore
 from .protocol import WORKER_DOWN, worker_transition
 from .service import ServiceError, compute_election
 
@@ -64,6 +71,7 @@ __all__ = [
     "DEFAULT_RECYCLE_AFTER",
     "ProcessShardBackend",
     "ThreadBackend",
+    "process_counters",
     "shard_index",
 ]
 
@@ -73,9 +81,6 @@ DEFAULT_RECYCLE_AFTER = 500
 #: Seconds to wait for a worker process (or a busy shard lock) at shutdown
 #: before escalating to ``terminate``.
 _SHUTDOWN_TIMEOUT = 5.0
-
-#: Total budget (seconds) a stats probe may spend waiting on busy shards.
-_STATS_TIMEOUT = 1.0
 
 
 def shard_index(key: str, shards: int) -> int:
@@ -98,14 +103,34 @@ def shard_index(key: str, shards: int) -> int:
     return value % shards
 
 
+def process_counters() -> Snapshot:
+    """This process's counter snapshot plus the cache's ``live_bytes``.
+
+    What a backend reports for a process that computes: a shard worker
+    ships it with every reply, the thread backend reads it in place for
+    ``/stats``.  ``live_bytes`` is the one ``/stats`` cache figure that
+    takes a scan, so it is added here and not to the snapshot that span
+    tags and ``/metrics`` scrapes read.
+    """
+    snapshot = counter_snapshot(refinement_cache)
+    snapshot["cache"]["live_bytes"] = refinement_cache.live_bytes()
+    return snapshot
+
+
 class ComputeBackend:
     """Interface both backends implement (duck-typed; this is documentation).
 
     ``submit(route_key, parsed)`` computes one parsed query off the event
     loop and returns the response dict (raising :class:`ServiceError` for
-    client errors); ``stats()`` returns ``{"cache": ..., "search": ...}``
-    sections measured where the computing happens; ``close()`` shuts the
-    backend down idempotently and deterministically.
+    client errors).  ``counters()`` returns the cache/search/store snapshot
+    of wherever the computing happens (``live_bytes=True`` adds the cache's
+    scanned ``live_bytes``, for ``/stats``), and ``shard_rows()`` one row
+    per shard (none for threads); ``/stats`` and ``/metrics`` both render
+    from these two.  Neither touches a worker pipe: a shard worker ships its
+    cumulative counters with every reply, so a read while a shard is
+    mid-job sees that shard as of its previous reply, and a read at a
+    quiescent moment is exact.  ``close()`` shuts the backend down
+    idempotently and deterministically.
     """
 
     name: str
@@ -114,7 +139,13 @@ class ComputeBackend:
     async def submit(self, route_key: str, parsed: Dict[str, Any]) -> Dict[str, Any]:
         raise NotImplementedError
 
-    def stats(self) -> Dict[str, Any]:
+    def counters(self, *, live_bytes: bool = False) -> Snapshot:
+        raise NotImplementedError
+
+    def shard_rows(self) -> List[Dict[str, Any]]:
+        raise NotImplementedError
+
+    def queue_depth(self) -> int:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -160,24 +191,17 @@ class ThreadBackend(ComputeBackend):
         with activate_trace(context):
             return compute_election(parsed, compute_delay=self._compute_delay)
 
-    def stats(self) -> Dict[str, Any]:
-        return {"cache": refinement_cache.stats(), "search": search_statistics()}
+    def counters(self, *, live_bytes: bool = False) -> Snapshot:
+        """Computing happens in this process: its own counters."""
+        return process_counters() if live_bytes else counter_snapshot(refinement_cache)
 
-    def observed_counters(self) -> Dict[str, Dict[str, int]]:
-        """Search counters for /metrics (computation happens in-process)."""
-        return {"search": dict(search_statistics()), "store": {}}
-
-    def heat(self) -> List[Dict[str, Any]]:
-        """No shards, no heat rows (uniform interface with the process backend)."""
+    def shard_rows(self) -> List[Dict[str, Any]]:
+        """No shards (uniform interface with the process backend)."""
         return []
 
     def queue_depth(self) -> int:
         """Computations accepted but not yet started (for /metrics)."""
         return self._executor._work_queue.qsize()
-
-    def telemetry(self) -> Dict[str, int]:
-        """Parent-side counters for /metrics (threads have no lifecycle)."""
-        return {}
 
     def close(self) -> None:
         if self._closed:
@@ -192,25 +216,19 @@ class ThreadBackend(ComputeBackend):
 # process backend
 # --------------------------------------------------------------------------- #
 def _worker_stats(jobs_done: int) -> Dict[str, Any]:
-    """This worker process's observability payload (also its retirement will)."""
-    store = refinement_cache.store
-    return {
-        "pid": os.getpid(),
-        "jobs": jobs_done,
-        "cache": refinement_cache.stats(),
-        "search": search_statistics(),
-        "store": store.stats() if store is not None else {},
-    }
+    """This worker's job count and cumulative counters (also its retirement will)."""
+    return {"jobs": jobs_done, "counters": process_counters()}
 
 
 def _job_extras(context, jobs_done: int) -> Dict[str, Any]:
     """The observability payload piggybacked on every job reply.
 
-    ``stats`` is this worker's cumulative counter snapshot -- the parent
-    keeps the latest per shard so ``/metrics`` aggregates search/store
-    counters without a pipe round trip.  With a trace context the worker's
-    spans for that trace ride along too (and leave this process's
-    recorder), so one ``/trace/<id>`` tree shows parent and shard stages.
+    ``stats`` is this worker's job count and cumulative counters after the
+    job -- the parent keeps the latest per shard, and ``/stats`` and
+    ``/metrics`` read them from there without a pipe round trip.  With a
+    trace context the worker's spans for that trace ride along too (and
+    leave this process's recorder), so one ``/trace/<id>`` tree shows
+    parent and shard stages.
     """
     extras: Dict[str, Any] = {"stats": _worker_stats(jobs_done)}
     if context is not None:
@@ -257,10 +275,6 @@ def _shard_main(
             break
         if op == "ping":
             if not _send_or_exit(conn, ("ok", os.getpid())):
-                break
-            continue
-        if op == "stats":
-            if not _send_or_exit(conn, ("ok", _worker_stats(jobs_done))):
                 break
             continue
         parsed = message[1]
@@ -336,15 +350,14 @@ class _Shard:
         self.crashes = 0
         #: Seconds this shard's pipe was occupied by jobs (the heat signal).
         self.busy_seconds = 0.0
-        #: The live worker's latest cumulative counter snapshot, refreshed
-        #: from the extras piggybacked on every job reply (no pipe traffic).
-        self.last_snapshot: Dict[str, Any] = {}
-        # cumulative counters inherited from cleanly retired workers (a
-        # crashed worker's counters die with it)
+        #: The live worker's job count and counters as of its latest reply
+        #: (``{"jobs": ..., "counters": ...}``; empty until it replies).
+        self.live: Dict[str, Any] = {}
+        # job count and counters inherited from cleanly retired workers (a
+        # crashed worker's die with it); replaced, never mutated, so readers
+        # on other threads need no lock
         self.retired_jobs = 0
-        self.retired_cache: Dict[str, int] = {}
-        self.retired_search: Dict[str, int] = {}
-        self.retired_store: Dict[str, int] = {}
+        self.retired: Snapshot = {}
 
     # -- lifecycle (all called with ``_lock`` held) --------------------- #
     def _spawn(self) -> None:
@@ -384,7 +397,7 @@ class _Shard:
                 self._process.terminate()
             self._process.join(timeout=_SHUTDOWN_TIMEOUT)
             self._process = None
-        self.last_snapshot = {}
+        self.live = {}
         self.state = worker_transition(self.state, reason)
 
     def _ensure_worker(self) -> None:
@@ -464,33 +477,25 @@ class _Shard:
                 return reply
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _control(self, op: str, *, spawn: bool = False, timeout: float = _SHUTDOWN_TIMEOUT):
-        """A non-job round trip (``ping``/``stats``); ``None`` if unanswerable.
+    def ping(self) -> Optional[int]:
+        """The live worker's PID, spawning it first if need be; ``None`` if
+        the shard stays busy or the worker does not answer.
 
-        The shard lock is held for a job's whole round trip, so a busy
-        shard would block a ``/stats`` probe for the rest of its
-        computation -- acquire with a timeout instead and report nothing
-        for shards that are mid-job (their retired counters still count).
-        With ``spawn`` the worker is started on demand; spawn failures
-        propagate (they mean process creation is broken, not that the
-        worker crashed).
+        Holding the lock means the worker is idle (no job on the pipe), so
+        a healthy worker answers at once; a poll timeout means it is wedged
+        (e.g. hung in bootstrap), and the pipe now holds a pending reply
+        nothing should read -- discard the worker rather than poison the
+        next exchange.  Spawn failures propagate (they mean process
+        creation is broken, not that the worker crashed).
         """
-        if not self._lock.acquire(timeout=timeout):
+        if not self._lock.acquire(timeout=_SHUTDOWN_TIMEOUT):
             return None
         try:
-            if spawn:
-                self._ensure_worker()
-            elif self._closed or self._process is None or not self._process.is_alive():
-                return None
+            self._ensure_worker()
             try:
-                self._conn.send((op,))
-                # holding the lock means the worker is idle (no job on the
-                # pipe), so a healthy worker answers immediately; a poll
-                # timeout means it is wedged (e.g. hung in bootstrap), and
-                # the pipe now holds a pending reply nothing should read --
-                # discard the worker rather than poison the next exchange
+                self._conn.send(("ping",))
                 if not self._conn.poll(_SHUTDOWN_TIMEOUT):
-                    raise EOFError("control round trip timed out")
+                    raise EOFError("ping timed out")
                 return self._conn.recv()[1]
             except (EOFError, BrokenPipeError, ConnectionResetError, OSError):
                 self.crashes += 1
@@ -499,20 +504,31 @@ class _Shard:
         finally:
             self._lock.release()
 
-    def ping(self) -> Optional[int]:
-        """The live worker's PID, spawning it first if need be."""
-        return self._control("ping", spawn=True)
-
-    def snapshot(self, *, timeout: float = _STATS_TIMEOUT) -> Optional[Dict[str, Any]]:
-        """The live worker's cache/search stats; ``None`` if dead or busy."""
-        return self._control("stats", timeout=timeout)
+    def row(self) -> Dict[str, Any]:
+        """This shard's ``/stats`` and ``/metrics`` row, from parent-side state."""
+        process = self._process
+        alive = process is not None and process.is_alive()
+        return {
+            "shard": self.index,
+            "alive": alive,
+            "state": self.state,
+            "pid": process.pid if alive else None,
+            "jobs": self.live.get("jobs", 0) + self.retired_jobs,
+            "dispatched": self.dispatched,
+            "spawns": self.spawns,
+            "recycles": self.recycles,
+            "crashes": self.crashes,
+            "busy_seconds": round(self.busy_seconds, 6),
+            "queue_depth": self.dispatcher._work_queue.qsize(),
+        }
 
     def _absorb_extras(self, reply):
         """Strip the observability extras off a job reply and apply them.
 
-        Extras carry the worker's cumulative counter snapshot (kept as this
-        shard's ``last_snapshot``) and, for traced jobs, the worker-side
-        spans of the request's trace, absorbed into the parent's recorder.
+        Extras carry the worker's job count and cumulative counters (kept
+        as this shard's ``live`` state) and, for traced jobs, the
+        worker-side spans of the request's trace, absorbed into the
+        parent's recorder.
         Returns the reply without the extras (the wire shape the backend's
         ``submit`` consumes).
         """
@@ -525,29 +541,16 @@ class _Shard:
         else:
             return reply
         if isinstance(extras, dict):
-            snapshot = extras.get("stats")
-            if isinstance(snapshot, dict):
-                self.last_snapshot = snapshot
+            stats = extras.get("stats")
+            if isinstance(stats, dict):
+                self.live = stats
             default_recorder.absorb(extras.get("spans"))
         return reply
 
     def _absorb(self, final_stats: Dict[str, Any]) -> None:
-        """Fold a retiring worker's counters into this shard's cumulative totals."""
-        self.retired_jobs += final_stats.get("jobs", 0)
-        store_section = {
-            # "records" is a gauge of the shared manifest, not a counter
-            key: value
-            for key, value in final_stats.get("store", {}).items()
-            if key != "records"
-        }
-        for totals, section in (
-            (self.retired_cache, final_stats.get("cache", {})),
-            (self.retired_search, final_stats.get("search", {})),
-            (self.retired_store, store_section),
-        ):
-            for key, value in section.items():
-                if isinstance(value, int):
-                    totals[key] = totals.get(key, 0) + value
+        """Fold a retiring worker's farewell into this shard's retired totals."""
+        self.retired = merge_snapshots(self.retired, final_stats["counters"])
+        self.retired_jobs += final_stats["jobs"]
 
     def close(self) -> None:
         """Shut this shard down: graceful exit handshake, or terminate.
@@ -598,7 +601,7 @@ class ProcessShardBackend(ComputeBackend):
         self,
         *,
         shards: int,
-        store_path: Optional[str] = None,
+        store: Optional[ArtifactStore] = None,
         compute_delay: float = 0.0,
         recycle_after: Optional[int] = None,
         start_method: Optional[str] = None,
@@ -618,11 +621,21 @@ class ProcessShardBackend(ComputeBackend):
         context = multiprocessing.get_context(start_method)
         self.concurrency = shards
         self.recycle_after = recycle_after
+        #: The parent's own store handle: compaction runs on it, so its
+        #: counters join the shards' (each worker opens its own handle).
+        self._store = store
+        # every cache/search counter reads 0 until some shard has replied
+        local = counter_snapshot(refinement_cache)
+        self._zero: Snapshot = {
+            "cache": dict.fromkeys([*local["cache"], "live_bytes"], 0),
+            "search": dict.fromkeys(local["search"], 0),
+            "store": {},
+        }
         self._shards = [
             _Shard(
                 index,
                 context=context,
-                store_path=store_path,
+                store_path=store.root if store is not None else None,
                 compute_delay=compute_delay,
                 recycle_after=recycle_after,
                 hot_tier_bytes=hot_tier_bytes,
@@ -672,127 +685,35 @@ class ProcessShardBackend(ComputeBackend):
             raise ServiceError(reply[1], reply[2])
         raise RuntimeError(f"shard worker error: {reply[1]}")
 
-    def stats(self) -> Dict[str, Any]:
-        """Aggregated cache/search counters plus a per-shard breakdown.
+    def counters(self, *, live_bytes: bool = False) -> Snapshot:
+        """The shards' counters, summed: each shard's latest reply plus its
+        retired workers', and the parent's own store handle.  The workers
+        ship their ``live_bytes`` with every reply, so it is in the cache
+        section either way, at no cost here.
 
-        Summing the shard workers' own ``refinement_cache``/search counters
-        keeps backend-independent invariants checkable from ``/stats`` --
-        e.g. a store-warm replay must show zero refinement passes no matter
-        which processes did the work.  Counters of cleanly *retired*
-        (recycled or exited) workers are folded in; unspawned shards
-        contribute zeros and a crashed worker's counters die with it.  A
-        shard that is *mid-job* reports only its retired counters (row
-        ``alive: False``) instead of blocking this probe on its
-        computation -- read ``/stats`` at a quiescent moment for exact
-        totals.
+        Parent-side state only -- no pipe round trip, so neither ``/stats``
+        nor a ``/metrics`` scrape ever waits on a busy shard.  Unspawned
+        shards contribute zeros and a crashed worker's counters die with
+        it.  A shard that is mid-job shows its counters as of its previous
+        reply (every reply carries the worker's cumulative counters after
+        the job), so a read at a quiescent moment is exact -- e.g. a
+        store-warm replay must show zero refinement passes no matter which
+        processes did the work.
         """
-        cache_total: Dict[str, int] = {key: 0 for key in refinement_cache.stats()}
-        search_total: Dict[str, int] = {key: 0 for key in search_statistics()}
-        store_total: Dict[str, int] = {}
-        per_shard: List[Dict[str, Any]] = []
-        # one deadline shared by all shards: a fleet of busy shards costs
-        # the probe ~1s total, not ~1s each
-        deadline = time.monotonic() + _STATS_TIMEOUT
+        snapshots = [self._zero]
         for shard in self._shards:
-            snapshot = shard.snapshot(timeout=max(0.0, deadline - time.monotonic()))
-            row: Dict[str, Any] = {
-                "shard": shard.index,
-                "alive": snapshot is not None,
-                "state": shard.state,
-                "pid": snapshot["pid"] if snapshot else None,
-                "jobs": (snapshot["jobs"] if snapshot else 0) + shard.retired_jobs,
-                "dispatched": shard.dispatched,
-                "spawns": shard.spawns,
-                "recycles": shard.recycles,
-                "crashes": shard.crashes,
-                "busy_seconds": round(shard.busy_seconds, 6),
-            }
-            sections = [
-                (cache_total, shard.retired_cache),
-                (search_total, shard.retired_search),
-                (store_total, shard.retired_store),
-            ]
-            if snapshot is not None:
-                sections += [
-                    (cache_total, snapshot["cache"]),
-                    (search_total, snapshot["search"]),
-                    (store_total, {
-                        key: value
-                        for key, value in snapshot.get("store", {}).items()
-                        if key != "records"
-                    }),
-                ]
-            for totals, section in sections:
-                for key, value in section.items():
-                    if isinstance(value, int):
-                        totals[key] = totals.get(key, 0) + value
-            per_shard.append(row)
-        return {
-            "cache": cache_total,
-            "search": search_total,
-            "store": store_total,
-            "shards": {
-                "count": len(self._shards),
-                "recycle_after": self.recycle_after,
-                "spawns": sum(shard.spawns for shard in self._shards),
-                "recycles": sum(shard.recycles for shard in self._shards),
-                "crashes": sum(shard.crashes for shard in self._shards),
-                "per_shard": per_shard,
-            },
-        }
+            snapshots += [shard.retired, shard.live.get("counters", {})]
+        if self._store is not None:
+            snapshots.append({"store": self._store.counters()})
+        return merge_snapshots(*snapshots)
+
+    def shard_rows(self) -> List[Dict[str, Any]]:
+        """One row per shard: lifecycle, job counts, load (see :meth:`_Shard.row`)."""
+        return [shard.row() for shard in self._shards]
 
     def queue_depth(self) -> int:
         """Jobs waiting on shard dispatchers, not yet on a pipe (for /metrics)."""
         return sum(shard.dispatcher._work_queue.qsize() for shard in self._shards)
-
-    def telemetry(self) -> Dict[str, int]:
-        """Parent-side shard counters for /metrics: no pipe round trips."""
-        return {
-            "shards": len(self._shards),
-            "spawns": sum(shard.spawns for shard in self._shards),
-            "recycles": sum(shard.recycles for shard in self._shards),
-            "crashes": sum(shard.crashes for shard in self._shards),
-            "dispatched": sum(shard.dispatched for shard in self._shards),
-        }
-
-    def heat(self) -> List[Dict[str, Any]]:
-        """Per-shard load rows for /metrics: busy seconds, tasks, queue depth."""
-        return [
-            {
-                "shard": shard.index,
-                "busy_seconds": shard.busy_seconds,
-                "dispatched": shard.dispatched,
-                "queue_depth": shard.dispatcher._work_queue.qsize(),
-            }
-            for shard in self._shards
-        ]
-
-    def observed_counters(self) -> Dict[str, Dict[str, int]]:
-        """Search/store counters for /metrics, summed from parent-side state.
-
-        Uses the piggybacked per-job snapshots (``last_snapshot``) plus the
-        retired workers' folded totals -- no pipe round trips, so a scrape
-        never blocks on a busy shard; it lags it by at most one job.
-        """
-        search_total: Dict[str, int] = {}
-        store_total: Dict[str, int] = {}
-        for shard in self._shards:
-            snapshot = shard.last_snapshot
-            sections = [
-                (search_total, shard.retired_search),
-                (store_total, shard.retired_store),
-                (search_total, snapshot.get("search", {})),
-                (store_total, {
-                    key: value
-                    for key, value in snapshot.get("store", {}).items()
-                    if key != "records"
-                }),
-            ]
-            for totals, section in sections:
-                for key, value in section.items():
-                    if isinstance(value, int):
-                        totals[key] = totals.get(key, 0) + value
-        return {"search": search_total, "store": store_total}
 
     def close(self) -> None:
         if self._closed:

@@ -604,46 +604,46 @@ class ArtifactStore:
 
     # ------------------------------------------------------------------ #
     def io_counters(self) -> Dict[str, int]:
-        """This handle's counters only -- no manifest read, so cheap enough
-        to snapshot before/after a single evaluation (span profiling)."""
-        with self._counter_lock:
-            return {
-                "hits": self._hits,
-                "misses": self._misses,
-                "puts": self._puts,
-                "bytes_read": self._bytes_read,
-                "bytes_written": self._bytes_written,
-            }
+        """This handle's hit/miss/put/byte counters: a subset of :meth:`counters`."""
+        counters = self.counters()
+        io_keys = ("hits", "misses", "puts", "bytes_read", "bytes_written")
+        return {key: counters[key] for key in io_keys}
 
-    def stats(self) -> Dict[str, int]:
-        """Counters of this handle plus the on-disk record count.
+    def counters(self, *, hot_tier: bool = True) -> Dict[str, int]:
+        """Every counter of this handle -- no manifest read, so cheap enough
+        to snapshot before/after a single evaluation (span profiling).
 
-        With a hot tier enabled its ``hot_*`` counters are folded in, which
-        is how they reach ``/stats`` and the ``repro_store_events`` metrics
-        family without any extra service wiring.
+        Lock-free: writers bump under ``_counter_lock``, and each read here
+        is one int.  With a hot tier enabled its ``hot_*`` counters are
+        folded in (unless ``hot_tier`` is false: they take the tier's
+        lock), which is how they reach ``/stats`` and the
+        ``repro_store_events`` metrics family without any extra service
+        wiring.
         """
-        # read the manifest before taking the counter lock: a corrupt
-        # manifest triggers a rebuild, which bumps a counter itself
-        records = len(self.manifest()["records"])
-        with self._counter_lock:
-            snapshot = {
-                "records": records,
-                "hits": self._hits,
-                "misses": self._misses,
-                "puts": self._puts,
-                "put_skips": self._put_skips,
-                "put_spills": self._put_spills,
-                "bytes_read": self._bytes_read,
-                "bytes_written": self._bytes_written,
-                "manifest_rebuilds": self._manifest_rebuilds,
-                "corrupt_objects": self._corrupt_objects,
-                "compactions": self._compactions,
-                "compacted_objects": self._compacted_objects,
-            }
+        snapshot = {
+            "hits": self._hits,
+            "misses": self._misses,
+            "puts": self._puts,
+            "put_skips": self._put_skips,
+            "put_spills": self._put_spills,
+            "bytes_read": self._bytes_read,
+            "bytes_written": self._bytes_written,
+            "manifest_rebuilds": self._manifest_rebuilds,
+            "corrupt_objects": self._corrupt_objects,
+            "compactions": self._compactions,
+            "compacted_objects": self._compacted_objects,
+        }
         hot = self._hot
-        if hot is not None:
+        if hot is not None and hot_tier:
             snapshot.update(hot.counters())
         return snapshot
+
+    def stats(self) -> Dict[str, int]:
+        """:meth:`counters` plus the on-disk record count."""
+        # read the manifest first: a corrupt manifest triggers a rebuild,
+        # which bumps a counter itself
+        records = len(self.manifest()["records"])
+        return dict(self.counters(), records=records)
 
 
 class _FileLock:

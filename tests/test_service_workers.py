@@ -19,11 +19,13 @@ import signal
 import socket
 import threading
 import time
+import urllib.request
 
 import pytest
 from test_service import _RunningServer, make_service
 from test_service_batch import _post_stream
 
+from repro.core.election_index import reset_search_statistics
 from repro.runner import refinement_cache
 from repro.service import (
     BatchCoordinator,
@@ -32,6 +34,8 @@ from repro.service import (
     shard_index,
 )
 from repro.service import workers as worker_backends
+from repro.service.metrics import parse_exposition
+from repro.store import ArtifactStore
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +44,23 @@ def _detached_process_cache(isolated_refinement_cache):
 
 
 MIXED_SWEEP = {"corpus": "mixed", "count": 200, "seed": 4}
+
+
+def _scraped_events(running, family: str) -> dict:
+    """``{event: value}`` of one ``event``-labelled ``/metrics`` family."""
+    with urllib.request.urlopen(f"{running.base}/metrics") as response:
+        families = parse_exposition(response.read().decode("utf-8"))
+    return {
+        dict(labels)["event"]: int(value)
+        for (_name, labels), value in families[family]["samples"].items()
+    }
+
+
+def _assert_matches_metrics(running, stats: dict) -> None:
+    """``/stats`` search/store counters equal a ``/metrics`` scrape's samples."""
+    store = {key: value for key, value in stats.get("store", {}).items() if key != "records"}
+    assert stats["search"] == _scraped_events(running, "repro_search_events")
+    assert store == _scraped_events(running, "repro_store_events")
 
 
 # --------------------------------------------------------------------------- #
@@ -97,7 +118,7 @@ def test_shard_caches_stay_sticky_for_repeat_submissions():
 # --------------------------------------------------------------------------- #
 # thread/process equivalence
 # --------------------------------------------------------------------------- #
-def test_process_backend_byte_identical_to_thread_on_mixed_corpus():
+def test_process_backend_byte_identical_to_thread_on_mixed_corpus(tmp_path):
     with _RunningServer(ElectionService(backend="thread", workers=4)) as running:
         thread_lines = _post_stream(running, {"sweep": MIXED_SWEEP})
     refinement_cache.clear()
@@ -119,6 +140,66 @@ def test_process_backend_byte_identical_to_thread_on_mixed_corpus():
     # the work genuinely happened in the shard workers, not the parent
     assert stats["cache"]["misses"] > 0
     assert refinement_cache.stats()["misses"] == 0
+
+    # Store-backed, one item at a time: an isomorphic copy of a searched
+    # graph is then answered from the one cache (thread) or, routed to
+    # another shard, read back from the shared store (process) -- never
+    # searched again -- so both backends do the same joint-search work.
+    # (Without a shared store, or with items overlapping, the shards may
+    # search a copy again and the counts differ.)
+    counted = {}
+    for backend, options in (
+        ("thread", {"workers": 4}),
+        ("process", {"shards": 4, "workers": 4}),
+    ):
+        refinement_cache.clear()
+        reset_search_statistics()  # the thread backend's are this process's
+        service = ElectionService(
+            backend=backend, store=ArtifactStore(str(tmp_path / backend)), **options
+        )
+        with _RunningServer(service) as running:
+            _post_stream(running, {"sweep": MIXED_SWEEP, "window": 1})
+            counted[backend] = running.get("/stats")
+            _assert_matches_metrics(running, counted[backend])
+    assert counted["process"]["search"] == counted["thread"]["search"]
+    assert counted["thread"]["search"]["searches"] > 0
+    assert counted["process"]["store"]["puts"] > 0
+
+
+def test_stats_during_a_job_reads_the_last_reply_without_waiting(tmp_path):
+    """``/stats`` on a busy shard answers at once from the counters the
+    worker shipped with its previous reply -- the numbers ``/metrics``
+    shows -- and takes the worker's liveness from its process handle."""
+    with _RunningServer(
+        ElectionService(
+            backend="process",
+            shards=1,
+            workers=1,
+            compute_delay=2.0,
+            store=ArtifactStore(str(tmp_path)),
+        )
+    ) as running:
+        running.post("/election", {"spec": {"kind": "asymmetric-cycle", "params": {"n": 7}}})
+        second = threading.Thread(
+            target=running.post,
+            args=("/election", {"spec": {"kind": "asymmetric-cycle", "params": {"n": 8}}}),
+        )
+        second.start()
+        try:
+            time.sleep(0.5)  # the second job is on the worker's pipe now
+            started = time.perf_counter()
+            stats = running.get("/stats")
+            elapsed = time.perf_counter() - started
+            _assert_matches_metrics(running, stats)
+            row = stats["shards"]["per_shard"][0]
+            assert row["state"] == "busy", "the read must overlap the second job"
+        finally:
+            second.join(30)
+    assert elapsed < 0.5, f"/stats waited {elapsed:.2f}s on a busy shard"
+    assert row["alive"] is True and row["pid"] is not None
+    assert row["jobs"] >= 1
+    assert stats["cache"]["misses"] >= 1
+    assert stats["store"]["puts"] >= 1
 
 
 # --------------------------------------------------------------------------- #
